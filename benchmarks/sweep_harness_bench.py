@@ -56,7 +56,7 @@ from repro.experiments import cli
 from repro.experiments.config import ExperimentSpec, SchedulerSpec, SweepPoint
 from repro.experiments.parallel import run_named_experiment_resilient
 from repro.experiments.runner import aggregate, run_experiment
-from repro.faults.model import FaultClassParams, exponential_fault_trace
+from repro.faults.model import FaultClassParams, exponential_fault_trace, fault_horizon
 from repro.obs.monitors import DEFAULT_TELEMETRY_HOOKS
 from repro.workloads.random_uniform import (
     RandomInstanceConfig,
@@ -111,10 +111,6 @@ def _maybe_transient_failure(rng) -> None:
         )
 
 
-def _fault_horizon(instance) -> float:
-    return float(instance.release.max() + instance.min_time.sum())
-
-
 def _make_instance_factory(transient: bool):
     def make_instance(rng):
         if transient:
@@ -134,7 +130,7 @@ def _make_faults(mtbf):
         return exponential_fault_trace(
             n_edge=instance.platform.n_edge,
             n_cloud=instance.platform.n_cloud,
-            horizon=_fault_horizon(instance),
+            horizon=fault_horizon(instance),
             seed=rng,
             edge=params,
             cloud=params,

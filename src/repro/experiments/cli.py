@@ -16,11 +16,11 @@ import argparse
 import sys
 from typing import Callable
 
+from repro.cli_options import add_run_options, check_run_options
 from repro.experiments import ablations, exec_time, faults_study, figures
 from repro.experiments.config import ExperimentSpec
 from repro.experiments.runner import aggregate, run_experiment
 from repro.experiments.tables import format_series_table, format_timing_table, rows_to_csv
-from repro.obs.monitors import DEFAULT_TELEMETRY_HOOKS
 from repro.obs.sinks import telemetry_record, write_telemetry_jsonl
 
 _BUILDERS: dict[str, Callable[..., ExperimentSpec]] = {
@@ -58,18 +58,6 @@ _TAKES_N_JOBS = {
 
 #: Builders that accept the failure-aware/correlated-fault overrides.
 _TAKES_FAULT_OPTS = {"degradation_mtbf"}
-
-
-def _interval_arg(text: str):
-    """``--checkpoint-interval`` value: work units, or ``auto`` (Young/Daly)."""
-    if text == "auto":
-        return "auto"
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number of work units or 'auto', got {text!r}"
-        ) from None
 
 
 def build_spec(
@@ -172,54 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         help="add the failure-aware ssf-edf-fa, srpt-fa and fcfs-fa "
         "variants to the roster (degradation_mtbf only)",
     )
-    parser.add_argument(
-        "--fault-correlation",
-        type=int,
-        default=1,
-        metavar="G",
-        help="correlated-failure group size: consecutive resources in "
-        "groups of G share fault windows (degradation_mtbf only; "
-        "default 1 = independent)",
-    )
-    parser.add_argument(
-        "--fault-groups",
-        type=str,
-        default=None,
-        metavar="SPEC",
-        help="topology-driven correlated fault groups, e.g. "
-        "'edge:0-4;link:0-4;cloud:0,1' — each listed group shares one "
-        "failure renewal sequence; memberships may overlap "
-        "(degradation_mtbf only; mutually exclusive with "
-        "--fault-correlation)",
-    )
-    parser.add_argument(
-        "--checkpoint-interval",
-        type=_interval_arg,
-        default=None,
-        metavar="WORK|auto",
-        help="enable the checkpoint/restart variant: commit progress every "
-        "WORK work units, or 'auto' to derive each sweep cell's interval "
-        "with the Young/Daly rule sqrt(2*MTBF*cost) from its fault rates "
-        "(needs a positive --checkpoint-cost); adds the ssf-edf-fa+ckpt "
-        "and ssf-edf-fa-rework+ckpt roster entries (degradation_mtbf only)",
-    )
-    parser.add_argument(
-        "--checkpoint-cost",
-        type=float,
-        default=0.0,
-        metavar="WORK",
-        help="extra work burned per checkpoint commit (with "
-        "--checkpoint-interval; default 0)",
-    )
-    parser.add_argument(
-        "--retry-budget",
-        type=int,
-        default=None,
-        metavar="K",
-        help="graceful degradation: abandon a job after K fault-aborted "
-        "attempts instead of retrying forever (checkpoint variant roster "
-        "entries; degradation_mtbf only)",
-    )
+    add_run_options(parser)
     parser.add_argument("--csv", type=str, default=None, help="also write raw rows to this CSV file")
     parser.add_argument(
         "--svg-dir",
@@ -233,23 +174,6 @@ def main(argv: list[str] | None = None) -> int:
         default=1,
         help="worker processes; >1 fans (point, rep) cells out over a "
         "process pool with bit-identical results",
-    )
-    parser.add_argument(
-        "--instrument",
-        action="append",
-        default=None,
-        metavar="HOOK",
-        help="attach a registered engine hook to every run (repeatable); "
-        "side-effectful hooks registered via repro.sim.hooks.register_hook",
-    )
-    parser.add_argument(
-        "--telemetry-out",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="write per-(experiment, x, scheduler) merged telemetry as JSONL "
-        "(instruments with the default telemetry hooks when no --instrument "
-        "is given; summarize with `python -m repro.obs.report PATH`)",
     )
     parser.add_argument(
         "--trace-out",
@@ -321,17 +245,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
-    instrument = tuple(args.instrument) if args.instrument else None
-    if args.telemetry_out and instrument is None:
-        instrument = DEFAULT_TELEMETRY_HOOKS
-    if args.trace_out and (instrument is None or "tracing" not in instrument):
-        instrument = (instrument or ()) + ("tracing",)
+    instrument = check_run_options(parser, args, trace=bool(args.trace_out))
     resilient = (
         args.timeout is not None
         or args.on_cell_error != "fail"
         or args.checkpoint is not None
         or args.resume
     )
+    harnessed = resilient or args.workers > 1 or args.progress
     if args.resume and args.checkpoint is None:
         parser.error("--resume requires --checkpoint")
     if resilient and args.experiment == "all":
@@ -339,24 +260,6 @@ def main(argv: list[str] | None = None) -> int:
             "--timeout/--on-cell-error/--checkpoint/--resume need a single "
             "experiment, not 'all'"
         )
-    fault_opts = (
-        args.failure_aware
-        or args.fault_correlation != 1
-        or args.fault_groups is not None
-        or args.checkpoint_interval is not None
-        or args.checkpoint_cost != 0.0
-        or args.retry_budget is not None
-    )
-    if fault_opts and args.experiment not in _TAKES_FAULT_OPTS:
-        parser.error(
-            "--failure-aware/--fault-correlation/--fault-groups/"
-            "--checkpoint-interval/--checkpoint-cost/--retry-budget apply "
-            "only to: " + ", ".join(sorted(_TAKES_FAULT_OPTS))
-        )
-    if args.fault_groups is not None and args.fault_correlation != 1:
-        parser.error("--fault-groups and --fault-correlation are mutually exclusive")
-    if args.checkpoint_cost != 0.0 and args.checkpoint_interval is None:
-        parser.error("--checkpoint-cost requires --checkpoint-interval")
     if args.checkpoint_group < 1:
         parser.error("--checkpoint-group must be positive")
 
@@ -364,39 +267,34 @@ def main(argv: list[str] | None = None) -> int:
     any_quarantined = False
     all_csv: list[str] = []
     telemetry_records: list[dict] = []
+    overrides = dict(
+        n_reps=args.reps,
+        n_jobs=args.n_jobs,
+        seed=args.seed,
+        failure_aware=args.failure_aware,
+        correlation=args.fault_correlation,
+        fault_groups=args.fault_groups,
+        checkpoint_interval=args.checkpoint_interval,
+        checkpoint_cost=args.checkpoint_cost,
+        retry_budget=args.retry_budget,
+    )
     for name in names:
-        spec = build_spec(
-            name,
-            n_reps=args.reps,
-            n_jobs=args.n_jobs,
-            seed=args.seed,
-            failure_aware=args.failure_aware,
-            correlation=args.fault_correlation,
-            fault_groups=args.fault_groups,
-            checkpoint_interval=args.checkpoint_interval,
-            checkpoint_cost=args.checkpoint_cost,
-            retry_budget=args.retry_budget,
-        )
+        try:
+            spec = build_spec(name, **overrides)
+        except ValueError as exc:
+            parser.error(str(exc))
         harness_stats = None
-        if args.telemetry_out and (resilient or args.workers > 1 or args.progress):
-            from repro.obs.harness import HarnessStats
-
-            harness_stats = HarnessStats()
-        if resilient:
+        if harnessed:
             from repro.experiments.parallel import run_named_experiment_resilient
 
+            if args.telemetry_out:
+                from repro.obs.harness import HarnessStats
+
+                harness_stats = HarnessStats()
             outcome = run_named_experiment_resilient(
                 name,
                 n_workers=args.workers,
-                n_reps=args.reps,
-                n_jobs=args.n_jobs,
-                seed=args.seed,
-                failure_aware=args.failure_aware,
-                correlation=args.fault_correlation,
-                fault_groups=args.fault_groups,
-                checkpoint_interval=args.checkpoint_interval,
-                checkpoint_cost=args.checkpoint_cost,
-                retry_budget=args.retry_budget,
+                **overrides,
                 instrument=instrument,
                 timeout_s=args.timeout,
                 on_error=args.on_cell_error,
@@ -409,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
                 progress=args.progress,
             )
             rows = outcome.rows
-            if not args.quiet:
+            if resilient and not args.quiet:
                 print(
                     f"[{name}] {outcome.n_executed} cells executed, "
                     f"{outcome.n_from_checkpoint} restored from checkpoint, "
@@ -425,25 +323,6 @@ def main(argv: list[str] | None = None) -> int:
                         f"attempts={q.attempts}: {q.error}",
                         file=sys.stderr,
                     )
-        elif args.workers > 1 or args.progress:
-            from repro.experiments.parallel import run_named_experiment_parallel
-
-            rows = run_named_experiment_parallel(
-                name,
-                n_workers=args.workers,
-                n_reps=args.reps,
-                n_jobs=args.n_jobs,
-                seed=args.seed,
-                failure_aware=args.failure_aware,
-                correlation=args.fault_correlation,
-                fault_groups=args.fault_groups,
-                checkpoint_interval=args.checkpoint_interval,
-                checkpoint_cost=args.checkpoint_cost,
-                retry_budget=args.retry_budget,
-                instrument=instrument,
-                stats=harness_stats,
-                progress=args.progress,
-            )
         else:
             rows = run_experiment(spec, progress=not args.quiet, instrument=instrument)
         agg = aggregate(rows)

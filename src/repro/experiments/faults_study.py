@@ -22,7 +22,12 @@ from typing import Sequence
 
 from repro.core.instance import Instance
 from repro.experiments.config import ExperimentSpec, SchedulerSpec, SweepPoint
-from repro.faults.model import FaultClassParams, exponential_fault_trace, parse_fault_groups
+from repro.faults.model import (
+    FaultClassParams,
+    exponential_fault_trace,
+    fault_horizon,
+    parse_fault_groups,
+)
 from repro.faults.trace import FaultTrace
 from repro.sim.checkpoint import CheckpointPolicy
 from repro.workloads.random_uniform import (
@@ -35,22 +40,13 @@ from repro.workloads.random_uniform import (
 MTTR_FRACTION = 0.1
 
 
-def _fault_horizon(instance: Instance) -> float:
-    """A horizon safely past the end of any plausible schedule.
-
-    Last release plus the whole workload run serially at its best
-    speed; faults beyond the actual makespan are simply never reached.
-    """
-    return float(instance.release.max() + instance.min_time.sum())
-
-
 def _make_faults(mtbf: float, group_size: int = 1, groups=None):
     def factory(instance: Instance, rng) -> FaultTrace:
         params = FaultClassParams(mtbf=mtbf, mttr=MTTR_FRACTION * mtbf)
         return exponential_fault_trace(
             n_edge=instance.platform.n_edge,
             n_cloud=instance.platform.n_cloud,
-            horizon=_fault_horizon(instance),
+            horizon=fault_horizon(instance),
             seed=rng,
             edge=params,
             cloud=params,

@@ -36,18 +36,17 @@ identical scalar rows.  The harness additionally observes *itself*
 (cells/sec, busy fraction, straggler ratio, pickle bytes, pool
 rebuilds) into an optional :class:`~repro.obs.harness.HarnessStats`.
 
-Two entry points:
-
-* :func:`run_named_experiment_parallel` — the fast path: dynamic
-  dispatch, fail on the first bad cell (its historical contract);
-* :func:`run_named_experiment_resilient` — the crash-safe harness:
-  per-cell wall-clock timeouts (SIGALRM inside the worker), a bounded
-  retry/skip policy for failing cells, incremental JSONL checkpointing
-  of completed cells (:mod:`repro.experiments.checkpoint`) with resume,
-  survival of worker-process deaths (the pool is rebuilt and unfinished
-  cells resubmitted), and a quarantine report of cells that never
-  succeeded.  Completed-cell results are identical between the two
-  paths and the serial runner.
+One entry point, :func:`run_named_experiment_resilient`, runs every
+pooled or checkpointed sweep.  By default (``on_error="fail"``, no
+checkpoint) it aborts on the first failing cell with an error naming
+the cell.  On top of that it offers per-cell wall-clock timeouts
+(SIGALRM inside the worker), a bounded retry/skip policy for failing
+cells, incremental JSONL checkpointing of completed cells
+(:mod:`repro.experiments.checkpoint`) with resume, survival of
+worker-process deaths (the pool is rebuilt and unfinished cells
+resubmitted), and a quarantine report of cells that never succeeded.
+Completed-cell results are identical to the serial runner's
+(:func:`repro.experiments.runner.run_experiment`).
 """
 
 from __future__ import annotations
@@ -304,119 +303,6 @@ def _inline_warm_settle(stats: HarnessStats | None, name: str, overrides: dict, 
         stats.instance_builds += entry[1].instance_builds - instances_before
 
 
-def run_named_experiment_parallel(
-    name: str,
-    *,
-    n_workers: int | None = None,
-    n_reps: int | None = None,
-    n_jobs: int | None = None,
-    seed: int | None = None,
-    failure_aware: bool = False,
-    correlation: int = 1,
-    fault_groups: str | None = None,
-    checkpoint_interval: float | str | None = None,
-    checkpoint_cost: float = 0.0,
-    retry_budget: int | None = None,
-    instrument: "tuple[str, ...] | None" = None,
-    stats: HarnessStats | None = None,
-    progress: bool = False,
-) -> list[ResultRow]:
-    """Run the named experiment with cells fanned out over processes.
-
-    Returns rows in the same order as the serial runner (points outer,
-    replications inner, schedulers innermost) regardless of dispatch
-    order.  ``instrument`` names registered engine hooks; names (not
-    hook objects) cross the process boundary.  ``stats`` (optional)
-    collects the ``harness.*`` metrics; ``progress`` prints a live
-    cells/sec + ETA line on stderr.  The first failing cell aborts the
-    sweep — use :func:`run_named_experiment_resilient` for
-    timeout/retry/checkpoint semantics.
-    """
-    from repro.experiments.cli import build_spec
-
-    _known_experiment(name)
-    n_workers = _validated_workers(n_workers)
-
-    overrides = _sweep_overrides(
-        n_reps=n_reps,
-        n_jobs=n_jobs,
-        seed=seed,
-        failure_aware=failure_aware,
-        correlation=correlation,
-        fault_groups=fault_groups,
-        checkpoint_interval=checkpoint_interval,
-        checkpoint_cost=checkpoint_cost,
-        retry_budget=retry_budget,
-    )
-    spec = build_spec(name, **overrides)
-    ordered = dispatch_order(spec)
-    total = len(ordered)
-    reporter = ProgressReporter(name, total, enabled=progress)
-    t_start = time.monotonic()
-
-    completed: dict[tuple[int, int], list[ResultRow]] = {}
-    if n_workers == 1:
-        if stats is not None:
-            stats.n_workers = 1
-            stats.window = 1
-        before = _inline_warm_counters(stats, name, overrides)
-        # Serial cell order on one worker: byte-identical either way,
-        # and it keeps the inline path boring and debuggable.
-        for point_index in range(len(spec.points)):
-            for rep in range(spec.n_reps):
-                t0 = time.perf_counter()
-                _, _, rows = _run_named_cell(
-                    (name, overrides, point_index, rep, instrument)
-                )
-                completed[(point_index, rep)] = rows
-                if stats is not None:
-                    stats.record_cell(
-                        cost=predict_cell_cost(spec, point_index),
-                        wall_s=time.perf_counter() - t0,
-                    )
-                reporter.cell_done()
-        _inline_warm_settle(stats, name, overrides, before)
-    else:
-        window = effective_window(n_workers)
-        pool_size = min(n_workers, window)
-        if stats is not None:
-            stats.n_workers = pool_size
-            stats.window = window
-        pending = deque(ordered)
-        inflight: dict = {}
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            while pending or inflight:
-                while pending and len(inflight) < window:
-                    cell = pending.popleft()
-                    fut = pool.submit(
-                        _run_cell_payload,
-                        (name, overrides, cell[0], cell[1], instrument, None),
-                    )
-                    inflight[fut] = cell
-                done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
-                for fut in done:
-                    cell = inflight.pop(fut)
-                    payload = fut.result()  # first failure aborts the sweep
-                    completed[cell] = unpack_rows(payload[2])
-                    if stats is not None:
-                        stats.record_cell(
-                            cost=predict_cell_cost(spec, cell[0]),
-                            wall_s=payload[3],
-                            payload_bytes=_payload_bytes(payload),
-                            spec_builds=payload[4],
-                            instance_builds=payload[5],
-                        )
-                    reporter.cell_done()
-    if stats is not None:
-        stats.elapsed_s = time.monotonic() - t_start
-
-    rows: list[ResultRow] = []
-    for point_index in range(len(spec.points)):
-        for rep in range(spec.n_reps):
-            rows.extend(completed[(point_index, rep)])
-    return rows
-
-
 @dataclass(frozen=True)
 class QuarantinedCell:
     """A cell that never succeeded within the retry budget."""
@@ -470,9 +356,9 @@ def run_named_experiment_resilient(
     """Crash-safe sweep: timeouts, retry policy, checkpointing, resume.
 
     ``on_error`` decides what a failing (or timed-out) cell does to the
-    sweep: ``"fail"`` aborts on the first failure (the fast path's
-    behavior), ``"skip"`` quarantines it immediately, ``"retry"``
-    re-runs it up to ``max_retries`` more times before quarantining.
+    sweep: ``"fail"`` (the default) aborts on the first failure,
+    ``"skip"`` quarantines it immediately, ``"retry"`` re-runs it up to
+    ``max_retries`` more times before quarantining.
     ``retry_backoff`` inserts a deterministic exponential pause before
     each re-run (``base * 2**(attempt-1)`` seconds, capped at
     :data:`MAX_BACKOFF_S`) — useful when cells fail on transient

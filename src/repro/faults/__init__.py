@@ -9,6 +9,7 @@ from repro.faults.model import (
     FaultClassParams,
     FaultGroup,
     exponential_fault_trace,
+    fault_horizon,
     parse_fault_groups,
 )
 from repro.faults.trace import (
@@ -32,5 +33,6 @@ __all__ = [
     "FaultTransition",
     "RenewalRates",
     "exponential_fault_trace",
+    "fault_horizon",
     "parse_fault_groups",
 ]

@@ -35,7 +35,7 @@ the realization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -50,6 +50,9 @@ from repro.faults.trace import (
     RenewalRates,
 )
 from repro.util.rng import SeedLike, as_generator
+
+if TYPE_CHECKING:
+    from repro.core.instance import Instance
 
 #: One correlated fault group: a domain name ("edge" / "cloud" / "link")
 #: and the member resource indices sharing a renewal sequence.
@@ -238,6 +241,15 @@ def parse_fault_groups(spec: str) -> tuple[FaultGroup, ...]:
     if not out:
         raise ModelError(f"no fault groups in spec {spec!r}")
     return tuple(out)
+
+
+def fault_horizon(instance: Instance) -> float:
+    """A fault-trace horizon safely past the end of any plausible schedule.
+
+    Last release plus the whole workload run serially at its best
+    speed; faults beyond the actual makespan are simply never reached.
+    """
+    return float(instance.release.max() + instance.min_time.sum())
 
 
 def exponential_fault_trace(

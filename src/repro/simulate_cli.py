@@ -20,10 +20,10 @@ import sys
 
 from repro.analysis.gantt import render_gantt
 from repro.analysis.timeline import all_breakdowns
+from repro.cli_options import add_run_options, check_run_options
 from repro.core.metrics import utilization
 from repro.core.validation import validate_schedule
 from repro.io.json_format import load_instance, save_schedule
-from repro.obs.monitors import DEFAULT_TELEMETRY_HOOKS
 from repro.obs.sinks import telemetry_record, write_telemetry_jsonl
 from repro.obs.telemetry import RunTelemetry, collect_telemetry
 from repro.schedulers.registry import available_schedulers, make_scheduler
@@ -31,18 +31,6 @@ from repro.sim.engine import simulate
 from repro.sim.hooks import StepTimingProfiler, StretchWatermarkMonitor, make_hooks
 from repro.workloads.kang import KangConfig, generate_kang_instance
 from repro.workloads.random_uniform import RandomInstanceConfig, generate_random_instance
-
-
-def _interval_arg(text: str):
-    """``--checkpoint-interval`` value: work units, or ``auto`` (Young/Daly)."""
-    if text == "auto":
-        return "auto"
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number of work units or 'auto', got {text!r}"
-        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,15 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(ssf-edf -> ssf-edf-fa, greedy -> greedy-fa, srpt -> srpt-fa, "
         "fcfs -> fcfs-fa; schedules from the discounted capacity outlook)",
     )
-    parser.add_argument(
-        "--fault-correlation",
-        type=int,
-        default=1,
-        metavar="G",
-        help="correlated-failure group size of the generated fault trace: "
-        "consecutive resources in groups of G share their fault windows "
-        "(default 1 = independent; needs --fault-mtbf)",
-    )
     parser.add_argument("--gantt", action="store_true", help="render an ASCII Gantt chart")
     parser.add_argument("--width", type=int, default=100, help="gantt width in cells")
     parser.add_argument("--breakdown", action="store_true", help="per-job time breakdown")
@@ -102,20 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--save-schedule", metavar="PATH", help="write the schedule JSON here")
     parser.add_argument("--svg-gantt", metavar="PATH", help="write an SVG Gantt chart here")
-    parser.add_argument(
-        "--instrument",
-        action="append",
-        default=None,
-        metavar="HOOK",
-        help="attach a registered engine hook to the run (repeatable); "
-        "telemetry monitors: util, queue, jobstats, reexec, faults, scheduler",
-    )
-    parser.add_argument(
-        "--telemetry-out",
-        metavar="PATH",
-        help="write the run's telemetry as one JSONL record (instruments "
-        "with the default telemetry hooks when no --instrument is given)",
-    )
     parser.add_argument(
         "--trace-out",
         metavar="PATH",
@@ -148,47 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed of the fault renewal process (independent of --seed)",
     )
     parser.add_argument(
-        "--fault-groups",
-        type=str,
-        default=None,
-        metavar="SPEC",
-        help="topology-driven correlated fault groups, e.g. "
-        "'edge:0,1;link:0-2' — each listed group shares one failure "
-        "renewal sequence; memberships may overlap (needs --fault-mtbf; "
-        "mutually exclusive with --fault-correlation)",
-    )
-    parser.add_argument(
-        "--checkpoint-interval",
-        type=_interval_arg,
-        default=None,
-        metavar="WORK|auto",
-        help="checkpoint/restart: commit compute progress every WORK work "
-        "units; a fault-aborted or re-placed attempt resumes from the "
-        "last commit instead of from scratch.  'auto' derives the "
-        "Young/Daly optimum sqrt(2*MTBF*cost) from the run's fault "
-        "rates (needs --fault-mtbf and a positive --checkpoint-cost)",
-    )
-    parser.add_argument(
-        "--checkpoint-cost",
-        type=float,
-        default=0.0,
-        metavar="WORK",
-        help="extra work burned per checkpoint commit (default 0)",
-    )
-    parser.add_argument(
         "--checkpoint-phases",
         action="store_true",
         help="also commit at the uplink/compute phase boundary (a completed "
         "upload survives later aborts)",
     )
-    parser.add_argument(
-        "--retry-budget",
-        type=int,
-        default=None,
-        metavar="K",
-        help="graceful degradation: abandon a job after K fault-aborted "
-        "attempts instead of retrying forever",
-    )
+    add_run_options(parser)
     return parser
 
 
@@ -228,10 +158,16 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--fault-correlation requires --fault-mtbf")
     if args.fault_groups is not None and args.fault_mtbf is None:
         parser.error("--fault-groups requires --fault-mtbf")
-    if args.fault_groups is not None and args.fault_correlation != 1:
-        parser.error("--fault-groups and --fault-correlation are mutually exclusive")
+    instrument = check_run_options(
+        parser, args, trace=bool(args.trace_out or args.trace_chrome)
+    ) or ()
     if args.fault_mtbf is not None:
-        from repro.faults import FaultClassParams, exponential_fault_trace, parse_fault_groups
+        from repro.faults import (
+            FaultClassParams,
+            exponential_fault_trace,
+            fault_horizon,
+            parse_fault_groups,
+        )
 
         params = FaultClassParams(
             mtbf=args.fault_mtbf,
@@ -240,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
         faults = exponential_fault_trace(
             n_edge=instance.platform.n_edge,
             n_cloud=instance.platform.n_cloud,
-            horizon=float(instance.release.max() + instance.min_time.sum()),
+            horizon=fault_horizon(instance),
             seed=args.fault_seed,
             edge=params,
             cloud=params,
@@ -254,8 +190,6 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     checkpoint = None
-    if args.checkpoint_cost != 0.0 and args.checkpoint_interval is None:
-        parser.error("--checkpoint-cost requires --checkpoint-interval")
     if args.checkpoint_interval == "auto" and args.fault_mtbf is None:
         parser.error("--checkpoint-interval auto requires --fault-mtbf")
     if (
@@ -275,23 +209,10 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     policy = args.policy
-    if args.failure_aware:
-        if policy == "ssf-edf":
-            policy = "ssf-edf-fa"
-        elif policy == "greedy":
-            policy = "greedy-fa"
-        elif policy == "srpt":
-            policy = "srpt-fa"
-        elif policy == "fcfs":
-            policy = "fcfs-fa"
-        elif policy not in (
-            "ssf-edf-fa",
-            "ssf-edf-fa-rework",
-            "greedy-fa",
-            "srpt-fa",
-            "fcfs-fa",
-        ):
+    if args.failure_aware and "fa" not in policy.split("-"):
+        if policy + "-fa" not in available_schedulers():
             parser.error(f"--failure-aware has no variant for policy {policy!r}")
+        policy += "-fa"
 
     scheduler = (
         make_scheduler(policy, seed=args.seed)
@@ -301,13 +222,8 @@ def main(argv: list[str] | None = None) -> int:
     profiler = StepTimingProfiler() if args.profile else None
     watermark = StretchWatermarkMonitor() if args.watermark else None
     hooks = [h for h in (profiler, watermark) if h is not None]
-    instrument = list(args.instrument or [])
-    if args.telemetry_out and not instrument:
-        instrument = list(DEFAULT_TELEMETRY_HOOKS)
     if faults is not None and "faults" not in instrument:
-        instrument.append("faults")
-    if (args.trace_out or args.trace_chrome) and "tracing" not in instrument:
-        instrument.append("tracing")
+        instrument += ("faults",)
     hooks.extend(make_hooks(instrument))
     result = simulate(instance, scheduler, faults=faults, checkpoint=checkpoint, hooks=hooks)
     telemetry = collect_telemetry(hooks)

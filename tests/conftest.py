@@ -16,10 +16,7 @@ def single_pair_platform() -> Platform:
     return Platform.create(edge_speeds=[1 / 3], n_cloud=1)
 
 
-@pytest.fixture
-def figure1_instance(single_pair_platform: Platform) -> Instance:
-    """The worked example of Section III-C (J3/J5 carry up=2, dn=1;
-    the HAL scan's 'up=dn=1' contradicts the prose, see DESIGN.md)."""
+def _figure1_instance(platform: Platform) -> Instance:
     jobs = [
         Job(origin=0, work=1, release=0, up=5, dn=5),
         Job(origin=0, work=4, release=0, up=2, dn=2),
@@ -28,7 +25,27 @@ def figure1_instance(single_pair_platform: Platform) -> Instance:
         Job(origin=0, work=2, release=5, up=2, dn=1),
         Job(origin=0, work=1 / 3, release=6, up=5, dn=5),
     ]
-    return Instance.create(single_pair_platform, jobs)
+    return Instance.create(platform, jobs)
+
+
+@pytest.fixture
+def figure1_instance(single_pair_platform: Platform) -> Instance:
+    """The worked example of Section III-C (J3/J5 carry up=2, dn=1;
+    the HAL scan's 'up=dn=1' contradicts the prose, see DESIGN.md)."""
+    return _figure1_instance(single_pair_platform)
+
+
+@pytest.fixture(scope="session")
+def figure1_optimum():
+    """``edge_cloud_bruteforce`` on Figure 1, computed once per test run.
+
+    The exhaustive search takes tens of seconds; every test asserting
+    on the Figure-1 optimum shares this one result.
+    """
+    from repro.offline.bruteforce import edge_cloud_bruteforce
+
+    platform = Platform.create(edge_speeds=[1 / 3], n_cloud=1)
+    return edge_cloud_bruteforce(_figure1_instance(platform))
 
 
 @pytest.fixture

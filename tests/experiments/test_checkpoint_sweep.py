@@ -13,7 +13,7 @@ from repro.experiments.cli import build_spec
 from repro.experiments.parallel import (
     MAX_BACKOFF_S,
     _backoff_delay,
-    run_named_experiment_parallel,
+    run_named_experiment_resilient,
 )
 from repro.experiments.runner import run_experiment
 
@@ -68,15 +68,17 @@ class TestCheckpointRoster:
 class TestSerialParallelIdentity:
     def test_checkpointed_sweep_bit_identical_across_pool(self):
         serial = run_experiment(build_spec("degradation_mtbf", **_CKPT_KW))
-        pooled = run_named_experiment_parallel(
+        pooled = run_named_experiment_resilient(
             "degradation_mtbf", n_workers=2, **_CKPT_KW
-        )
+        ).rows
         assert row_key(serial) == row_key(pooled)
 
     def test_fault_groups_ride_the_overrides(self):
         kw = dict(n_reps=1, n_jobs=10, seed=6, fault_groups="edge:0-4;link:0-4")
         serial = run_experiment(build_spec("degradation_mtbf", **kw))
-        pooled = run_named_experiment_parallel("degradation_mtbf", n_workers=2, **kw)
+        pooled = run_named_experiment_resilient(
+            "degradation_mtbf", n_workers=2, **kw
+        ).rows
         assert row_key(serial) == row_key(pooled)
         # The grouped realization must actually differ from independent.
         independent = run_experiment(

@@ -9,10 +9,7 @@ import hashlib
 import json
 
 from repro.experiments.cli import build_spec
-from repro.experiments.parallel import (
-    run_named_experiment_parallel,
-    run_named_experiment_resilient,
-)
+from repro.experiments.parallel import run_named_experiment_resilient
 from repro.experiments.runner import run_experiment
 from repro.obs.monitors import DEFAULT_TELEMETRY_HOOKS
 
@@ -37,9 +34,9 @@ class TestDegradationSweep:
     def test_serial_pool_and_resilient_are_sha256_identical(self):
         spec = build_spec("degradation_mtbf", **_KW)
         serial = run_experiment(spec, instrument=DEFAULT_TELEMETRY_HOOKS)
-        pooled = run_named_experiment_parallel(
+        pooled = run_named_experiment_resilient(
             "degradation_mtbf", n_workers=2, instrument=DEFAULT_TELEMETRY_HOOKS, **_KW
-        )
+        ).rows
         resilient = run_named_experiment_resilient(
             "degradation_mtbf",
             n_workers=2,
@@ -59,9 +56,9 @@ class TestDegradationSweep:
         assert any(s.label == "srpt-fa" for s in spec.schedulers)
         assert any(s.label == "fcfs-fa" for s in spec.schedulers)
         serial = run_experiment(spec, instrument=DEFAULT_TELEMETRY_HOOKS)
-        pooled = run_named_experiment_parallel(
+        pooled = run_named_experiment_resilient(
             "degradation_mtbf", n_workers=2, instrument=DEFAULT_TELEMETRY_HOOKS, **kw
-        )
+        ).rows
         assert digest(serial) == digest(pooled)
         # The baseline columns are byte-for-byte the vanilla sweep's.
         base = run_experiment(

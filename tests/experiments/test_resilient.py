@@ -17,10 +17,7 @@ from repro.core.errors import CellTimeoutError, ModelError
 from repro.experiments import cli
 from repro.experiments.checkpoint import CheckpointStore
 from repro.experiments.config import ExperimentSpec, SchedulerSpec, SweepPoint
-from repro.experiments.parallel import (
-    run_named_experiment_parallel,
-    run_named_experiment_resilient,
-)
+from repro.experiments.parallel import run_named_experiment_resilient
 from repro.experiments.runner import run_experiment
 from repro.workloads.random_uniform import RandomInstanceConfig, generate_random_instance
 
@@ -101,10 +98,12 @@ def row_key(rows):
 
 
 class TestResilientMatchesSerial:
-    def test_rows_identical_to_fast_paths(self):
+    def test_rows_identical_to_serial_runner(self):
         outcome = run_named_experiment_resilient("test_res_ok", n_workers=1)
-        fast = run_named_experiment_parallel("test_res_ok", n_workers=1)
-        assert row_key(outcome.rows) == row_key(fast)
+        serial = run_experiment(
+            cli.build_spec("test_res_ok", n_reps=None, n_jobs=None, seed=None)
+        )
+        assert row_key(outcome.rows) == row_key(serial)
         assert outcome.quarantined == []
         assert outcome.n_executed == 3
         assert outcome.n_from_checkpoint == 0

@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.resources import cloud, edge
 from repro.core.validation import validate_schedule
-from repro.offline.bruteforce import edge_cloud_bruteforce
 from repro.offline.list_scheduler import FixedPolicyScheduler
 from repro.sim.engine import simulate
 
@@ -86,8 +85,8 @@ class TestFigure1:
         assert active_up == [4]  # J5 uploading
         assert active_dn == [1]  # J2 downloading
 
-    def test_fixed_policy_class_attains_optimum(self, figure1_instance, paper_run):
-        best = edge_cloud_bruteforce(figure1_instance)
+    def test_fixed_policy_class_attains_optimum(self, figure1_optimum, paper_run):
+        best = figure1_optimum
         assert best.max_stretch == pytest.approx(paper_run.max_stretch)
 
     def test_preemption_without_reexecution(self, paper_run):

@@ -80,8 +80,8 @@ class TestEdgeCloudBruteforce:
         assert sol.max_stretch == pytest.approx(1.0)
         assert sol.allocation[0].is_cloud
 
-    def test_figure1_optimum(self, figure1_instance):
-        sol = edge_cloud_bruteforce(figure1_instance)
+    def test_figure1_optimum(self, figure1_optimum):
+        sol = figure1_optimum
         assert sol.max_stretch == pytest.approx(1.25, rel=1e-9)
 
     def test_too_many_jobs_rejected(self):
