@@ -106,7 +106,8 @@ class ExpectationDiscount:
         superlinear in ``duration``, which is why long jobs should avoid
         failure-prone resources disproportionately.  Repair time is not
         included (the availability factor already accounts for it in
-        expectation).
+        expectation).  Beyond the range of a double (``duration / mtbf``
+        above ~709.8) the expectation is ``inf``.
         """
         mtbf = {
             DOMAIN_EDGE: self.edge_mtbf,
@@ -115,7 +116,10 @@ class ExpectationDiscount:
         }[domain]
         if not math.isfinite(mtbf):
             return duration
-        return mtbf * math.expm1(duration / mtbf)
+        try:
+            return mtbf * math.expm1(duration / mtbf)
+        except OverflowError:
+            return _INF
 
 
 #: The identity discount (no fault model): rates and floors untouched.

@@ -38,12 +38,14 @@ every event.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.capacity.outlook import ExpectationDiscount
+from repro.faults.trace import DOMAIN_CLOUD, DOMAIN_EDGE, DOMAIN_LINK
+from repro.sim.checkpoint import CheckpointPolicy
 from repro.sim.events import EventKind
 from repro.sim.state import ALLOC_CLOUD, ALLOC_EDGE
 from repro.sim.view import SimulationView
@@ -202,6 +204,52 @@ class DecisionProvenance:
         }
 
 
+class _ExpectedDurations:
+    """Rework pricing: a dedicated duration's expected wall time under faults.
+
+    An exposure of ``t`` dedicated time units on a domain with mean time
+    between failures ``mtbf`` is expected to take
+    ``mtbf * (exp(t / mtbf) - 1)`` under exponential failures with
+    restart from scratch
+    (:meth:`~repro.capacity.outlook.ExpectationDiscount.expected_rework`).
+    Compute exposures are priced with the edge/cloud MTBF; transfer
+    segments at their full duration with the link MTBF (mid-transfer
+    progress is never committed).
+    """
+
+    def __init__(self, discount: ExpectationDiscount, policy: CheckpointPolicy | None) -> None:
+        self._discount = discount
+        self._mtbf = {DOMAIN_EDGE: discount.edge_mtbf, DOMAIN_CLOUD: discount.cloud_mtbf}
+        periodic = policy is not None and policy.interval is not None
+        self._interval = policy.interval if periodic else None
+        self._cost = policy.commit_cost if periodic else 0.0
+
+    def transfer(self, t: float) -> float:
+        """Expected duration of a ``t``-long transfer."""
+        return self._discount.expected_rework(t, DOMAIN_LINK)
+
+    def compute(self, t: float, domain: str, speed: float) -> float:
+        """Expected duration of a ``t``-long compute exposure on ``speed``.
+
+        Without a periodic commit interval this is the unsplit
+        expectation.  With one, the exposure can be committed every
+        ``interval`` work units at ``commit_cost`` extra work, so the
+        job is also priced as ``t / (interval / speed)`` fractional
+        chunks of ``(interval + cost) / speed`` time each — and the
+        cheaper of the two prices wins (the long-job split rule:
+        splitting pays exactly when expected rework exceeds the total
+        commit overhead).
+        """
+        expected = self._discount.expected_rework
+        full = expected(t, domain)
+        interval = self._interval
+        if interval is None or t <= 0.0 or self._mtbf[domain] == _INF:
+            return full
+        chunks = t * speed / interval
+        split = chunks * expected((interval + self._cost) / speed, domain)
+        return split if split < full else full
+
+
 class EdfPlacementKernel:
     """Preallocated state for the constructive EDF placement of one run.
 
@@ -216,22 +264,21 @@ class EdfPlacementKernel:
     expected-recovery floor instead of ``now``, so placements route
     around dead or co-tenanted resources.
 
-    With ``rework_pricing`` (requires ``failure_aware``) every candidate
-    duration is replaced by its *expected* duration under the fault
-    trace's exponential failure model with restart-on-failure: an
-    exposure of ``t`` dedicated time units on a domain with mean time
-    between failures ``mtbf`` is expected to take
-    ``mtbf * (exp(t / mtbf) - 1)`` wall time (the classic
-    restart-from-scratch expectation).  Compute exposures are priced
-    with the edge/cloud MTBF; transfer segments at their full duration
-    with the link MTBF (mid-transfer progress is never committed).
-    When the run carries a periodic
-    :class:`~repro.sim.checkpoint.CheckpointPolicy` the compute price is
-    ``min(unsplit, chunks × per-chunk)`` — the *long-job split rule*: a
-    job whose expected rework exceeds its total commit overhead is
-    priced as its checkpointed chunks instead of one monolithic
-    exposure.  With no fault model (infinite MTBFs) every price is the
-    identity and the mode degenerates to plain ``failure_aware``.
+    With ``rework_pricing`` (requires ``failure_aware``) every duration
+    the placement adds is its *expected* duration under the fault
+    trace's exponential failure model with restart-on-failure (see
+    :class:`_ExpectedDurations`).  The pricing happens outside the
+    per-job loop, in two places: the static per-job tables (fresh
+    transfer, edge and cloud compute durations) are priced once per
+    run, at construction, and the remaining amounts of the live jobs
+    (remaining transfers, and the remaining work on the job's current
+    resource) once per pass, in :meth:`place`'s gather preamble.  The
+    loop itself only ever adds table entries, so it is one code path
+    for transparent, failure-aware and rework-priced runs — including
+    the sorted-scan prune of the cloud candidates, whose bound is
+    taken over the priced row.  With no fault model (infinite MTBFs)
+    every price is the identity and the mode degenerates to plain
+    ``failure_aware``.
     """
 
     def __init__(
@@ -250,30 +297,9 @@ class EdfPlacementKernel:
         self.outlook = outlook
         self.failure_aware = failure_aware and outlook.discounted
 
-        # Rework-pricing scalars.  The MTBFs come off the outlook's
-        # ExpectationDiscount *attributes* (model parameters, not
-        # capacity queries — ``n_queries`` must stay at the historical
-        # count); the commit geometry off the run's checkpoint policy.
-        self._rework = rework_pricing and self.failure_aware
-        self._rw_edge_mtbf = _INF
-        self._rw_cloud_mtbf = _INF
-        self._rw_link_mtbf = _INF
-        self._rw_interval: float | None = None
-        self._rw_cost = 0.0
-        if self._rework:
-            discount = outlook.discount
-            if discount is not None:
-                self._rw_edge_mtbf = discount.edge_mtbf
-                self._rw_cloud_mtbf = discount.cloud_mtbf
-                self._rw_link_mtbf = discount.link_mtbf
-            policy = view.checkpoint_policy
-            if policy is not None and policy.interval is not None:
-                self._rw_interval = policy.interval
-                self._rw_cost = policy.commit_cost
         edge_speeds = outlook.edge_rates()
         self.cloud_speeds = outlook.cloud_rates()
         self._link_rate = outlook.link_rate()
-        self._cloud_speeds_l = self.cloud_speeds.tolist()
 
         # Reservation timelines.  All six are scalar-accessed only from
         # the per-job loop and live in plain lists, which are cheaper to
@@ -324,63 +350,71 @@ class EdfPlacementKernel:
         #: probes).
         self._order_mem: tuple[bytes, bytes, np.ndarray] | None = None
 
-        # Static per-job quantities, precomputed once from the outlook's
+        # Static per-job durations, precomputed once from the outlook's
         # effective rates.  Undiscounted, the divisions are the exact
         # elementwise operations the historical loop performed per job,
         # so the values are bit-identical.
+        n_jobs = instance.n_jobs
         self._origin_l = instance.origin.tolist()
         if self._link_rate != 1.0:
-            self._up_l = (instance.up / self._link_rate).tolist()
-            self._dn_l = (instance.dn / self._link_rate).tolist()
+            up_l = (instance.up / self._link_rate).tolist()
+            dn_l = (instance.dn / self._link_rate).tolist()
         else:
-            self._up_l = instance.up.tolist()
-            self._dn_l = instance.dn.tolist()
+            up_l = instance.up.tolist()
+            dn_l = instance.dn.tolist()
+        edge_of_job = edge_speeds[instance.origin]
+        edge_dur_l = (instance.work / edge_of_job).tolist()
         if self.n_cloud:
-            woc = instance.work[:, None] / self.cloud_speeds[None, :]
-            self._woc_l = woc.tolist()
-            # Cheapest cloud compute duration per job — the scan's prune
-            # bound (see place(): any cloud whose compute slot frees too
-            # late to beat the incumbent even at this duration is skipped
-            # without evaluating its full reservation chain).
-            self._woc_min_l = woc.min(axis=1).tolist()
+            woc_l = (instance.work[:, None] / self.cloud_speeds[None, :]).tolist()
         else:
-            self._woc_l = [[] for _ in range(instance.n_jobs)]
-            self._woc_min_l = [_INF] * instance.n_jobs
-        self._edge_dur_l = (instance.work / edge_speeds[instance.origin]).tolist()
-        self._edge_speeds_l = edge_speeds.tolist()
+            woc_l = [[] for _ in range(n_jobs)]
+        #: Effective rate of every job's resources by allocation column
+        #: (0 the origin edge unit, ``1 + k`` cloud ``k``): the divisor
+        #: of the per-pass "stay" duration on the current resource.
+        self._rate_tab = np.empty((n_jobs, 1 + self.n_cloud), dtype=np.float64)
+        self._rate_tab[:, 0] = edge_of_job
+        self._rate_tab[:, 1:] = self.cloud_speeds[None, :]
 
-    @staticmethod
-    def _rw_time(t: float, mtbf: float) -> float:
-        """Expected wall time of a ``t``-long uninterrupted exposure.
+        # Rework pricing, once per run: every static duration becomes its
+        # expected duration.  The MTBFs come off the outlook's
+        # ExpectationDiscount *attributes* (model parameters, not
+        # capacity queries — ``n_queries`` must stay at the historical
+        # count); the commit geometry off the run's checkpoint policy.
+        self._expected: _ExpectedDurations | None = None
+        if rework_pricing and self.failure_aware:
+            ex = _ExpectedDurations(outlook.discount, view.checkpoint_policy)
+            self._expected = ex
+            up_l = [ex.transfer(t) for t in up_l]
+            dn_l = [ex.transfer(t) for t in dn_l]
+            edge_l = edge_of_job.tolist()
+            edge_dur_l = [ex.compute(t, DOMAIN_EDGE, v) for t, v in zip(edge_dur_l, edge_l)]
+            speeds_l = self.cloud_speeds.tolist()
+            woc_l = [
+                [ex.compute(t, DOMAIN_CLOUD, v) for t, v in zip(row, speeds_l)] for row in woc_l
+            ]
+        self._up_l = up_l
+        self._dn_l = dn_l
+        self._edge_dur_l = edge_dur_l
+        self._woc_l = woc_l
+        # Cheapest (priced) cloud compute duration per job — the scan's
+        # prune bound (see place(): any cloud whose compute slot frees
+        # too late to beat the incumbent even at this duration is
+        # skipped without evaluating its full reservation chain).
+        self._woc_min_l = [min(row) for row in woc_l] if self.n_cloud else [_INF] * n_jobs
+        #: False when a priced duration overflowed to ``inf`` (an MTBF
+        #: some ~700 times below a job's duration): the prices then
+        #: carry no information and no schedule can be built from them.
+        self.finite = self._expected is None or self.largest_duration() < _INF
 
-        Exponential failures at rate ``1/mtbf`` with restart from
-        scratch: ``E[T] = mtbf * (exp(t / mtbf) - 1)``, which tends to
-        ``t`` as ``mtbf → ∞`` and grows exponentially in ``t / mtbf``.
+    def largest_duration(self) -> float:
+        """The largest duration in the kernel's (priced) per-job tables.
+
+        Read to validate the priced tables and to explain a failed
+        stretch search: under rework pricing at a small MTBF the
+        expected durations grow exponentially, up to ``inf``.
         """
-        if t <= 0.0 or mtbf == _INF:
-            return t
-        return mtbf * math.expm1(t / mtbf)
-
-    def _rw_compute(self, t: float, mtbf: float, speed: float) -> float:
-        """Expected compute time for a ``t``-long exposure on ``speed``.
-
-        Without a periodic commit interval this is the unsplit
-        expectation of :meth:`_rw_time`.  With one, the exposure can be
-        committed every ``interval`` work units at ``commit_cost`` extra
-        work, so the job is also priced as ``t / (interval / speed)``
-        fractional chunks of ``(interval + cost) / speed`` time each —
-        and the cheaper of the two prices wins (the long-job split
-        rule: splitting pays exactly when expected rework exceeds the
-        total commit overhead).
-        """
-        full = self._rw_time(t, mtbf)
-        interval = self._rw_interval
-        if interval is None or t <= 0.0 or mtbf == _INF:
-            return full
-        chunk = (interval + self._rw_cost) / speed
-        chunks = t * speed / interval
-        split = chunks * self._rw_time(chunk, mtbf)
-        return split if split < full else full
+        rows = (self._edge_dur_l, self._up_l, self._dn_l, *self._woc_l)
+        return max(max(row, default=0.0) for row in rows)
 
     def _cloud_floor_cached(self, k: int, now: float) -> float:
         """Expected earliest cloud start from the cached recipe.
@@ -570,7 +604,9 @@ class EdfPlacementKernel:
         need the feasibility bit).  With ``explain`` the result carries
         one row per placed job recording the chosen resource, its
         completion vs deadline, and the losing alternative's completion
-        — same arithmetic, observation only.
+        — same arithmetic, observation only (the cloud alternative is
+        the best cloud the pruned scan evaluated: index -1 when the
+        prune ruled out every cloud).
 
         ``reuse`` is a per-decision pass cache (the caller owns its
         scope: one binary search = one dict).  The constructive pass
@@ -631,27 +667,38 @@ class EdfPlacementKernel:
 
         live_sorted = live[order]
         live_l = live_sorted.tolist()
-        cols_l = state_kind[order].tolist()
+        cols = state_kind[order]
+        cols_l = cols.tolist()
         dlt_l = dlt_v.tolist()
         dl_l = deadlines[order].tolist() if explain else None
 
         # Remaining amounts gathered to O(live) lists (position-indexed).
+        # ``stay`` is the remaining work on the job's current resource
+        # (meaningful only for jobs on one): the compute duration of
+        # keeping it there, where progress survives.
         if self._link_rate != 1.0:
             rem_up_l = (view.rem_up[live_sorted] / self._link_rate).tolist()
             rem_dn_l = (view.rem_dn[live_sorted] / self._link_rate).tolist()
         else:
             rem_up_l = view.rem_up[live_sorted].tolist()
             rem_dn_l = view.rem_dn[live_sorted].tolist()
-        rem_work_l = view.rem_work[live_sorted].tolist()
+        rates = self._rate_tab[live_sorted, cols]
+        stay_l = (view.rem_work[live_sorted] / rates).tolist()
+        ex = self._expected
+        if ex is not None:
+            # Priced once per pass, like the static tables once per run.
+            rem_up_l = [ex.transfer(t) for t in rem_up_l]
+            rem_dn_l = [ex.transfer(t) for t in rem_dn_l]
+            stay_l = [
+                t if c < 0 else ex.compute(t, DOMAIN_EDGE if c == 0 else DOMAIN_CLOUD, v)
+                for t, c, v in zip(stay_l, cols_l, rates.tolist())
+            ]
 
         n_cloud = self.n_cloud
-        cloud_range = range(n_cloud)
         origin_l = self._origin_l
         up_l = self._up_l
         dn_l = self._dn_l
         edge_dur_l = self._edge_dur_l
-        edge_speeds_l = self._edge_speeds_l
-        cloud_speeds_l = self._cloud_speeds_l
         woc_l = self._woc_l
         woc_min_l = self._woc_min_l
         edge_comp = self._edge_comp
@@ -669,40 +716,21 @@ class EdfPlacementKernel:
         completions = np.empty(n, dtype=np.float64)
         feasible = True
         explain_rows: list[dict] | None = [] if explain else None
-        rework = self._rework
         # Compute-availability order of the cloud processors, maintained
         # under reservations.  The scan's prune bound is monotone in
         # ``cc``, so walking candidates by ascending ``cc`` turns the
         # per-candidate skip into a *break*: the first bound above the
         # threshold proves every later candidate is above it too.
-        cc_sorted: list[tuple[float, int]] = (
-            sorted(zip(self._cloud_comp, cloud_range)) if n_cloud and not rework else []
-        )
-        if rework:
-            rw_edge = self._rw_edge_mtbf
-            rw_cloud = self._rw_cloud_mtbf
-            rw_link = self._rw_link_mtbf
-            rw_time = self._rw_time
-            rw_compute = self._rw_compute
+        cc_sorted: list[tuple[float, int]] = sorted(zip(cloud_comp, range(n_cloud)))
 
-        for pos, (i, col, dlt, r_up, r_wk, r_dn) in enumerate(
-            zip(live_l, cols_l, dlt_l, rem_up_l, rem_work_l, rem_dn_l)
+        for pos, (i, col, dlt, r_up, stay, r_dn) in enumerate(
+            zip(live_l, cols_l, dlt_l, rem_up_l, stay_l, rem_dn_l)
         ):
             o = origin_l[i]
 
             # Edge option (progress kept only if currently on the edge).
-            # Rework pricing replaces the dedicated duration with its
-            # expected duration under failures; the transparent branch
-            # below is the historical arithmetic, bitwise.
-            if rework:
-                if col == 0:
-                    dur = r_wk / edge_speeds_l[o]
-                else:
-                    dur = edge_dur_l[i]
-                comp_edge = edge_comp[o] + rw_compute(dur, rw_edge, edge_speeds_l[o])
-                edge_score = comp_edge * _STAY if col == 0 else comp_edge
-            elif col == 0:
-                comp_edge = edge_comp[o] + r_wk / edge_speeds_l[o]
+            if col == 0:
+                comp_edge = edge_comp[o] + stay
                 edge_score = comp_edge * _STAY
             else:
                 comp_edge = edge_comp[o] + edge_dur_l[i]
@@ -711,173 +739,101 @@ class EdfPlacementKernel:
             cloud_wins = False
             if n_cloud:
                 # Scalar scan over the cloud processors with the *fresh*
-                # (from-scratch) amounts; the job's current cloud (where
-                # progress survives) is evaluated from the remaining
-                # amounts with the stay-bonus applied to its score only
-                # (the reservation keeps the raw completion).  A strict
-                # `<` keeps the lowest-index winner on exact ties,
-                # matching argmin's first-minimum rule.
+                # (from-scratch) durations; the job's current cloud
+                # (where progress survives) is evaluated from the
+                # remaining amounts with the stay-bonus applied to its
+                # score only (the reservation keeps the raw completion).
+                #
+                # ``thr`` is the score a candidate must strictly beat to
+                # change the outcome: the edge incumbent, tightened by
+                # every cloud improvement.  A cloud whose compute slot
+                # frees at ``cc`` cannot complete this job before
+                # ``((cc + wmin) + dn_i)`` — ``wmin`` the minimum of the
+                # job's row, the same left-to-right IEEE-754 chain as
+                # the full evaluation below, and rounding is monotone
+                # per operation, so the bound never exceeds the true
+                # score.  Candidates whose bound is strictly above
+                # ``thr`` can neither win the argmin (a strictly smaller
+                # score exists or will survive) nor flip ``cloud_wins``
+                # (their score is above ``edge_score``), so skipping
+                # them preserves the selected index, all reservations,
+                # and every tie — placements stay bit-identical to the
+                # full scan.  The argument holds for any table of
+                # durations, so priced tables share it.
+                #
+                # Candidates are walked by ascending ``cc`` (the
+                # ``cc_sorted`` order), so the first failing bound ends
+                # the scan: the bound is monotone nondecreasing in
+                # ``cc`` per IEEE op.  Order independence of the winner
+                # is restored by the lexicographic ``(score, k)`` update
+                # rule, which selects the lowest-index minimum exactly
+                # as an index-order scan's strict ``<`` does.  The job's
+                # current cloud is evaluated up front, unconditionally:
+                # its score uses the remaining amounts and the stay
+                # bonus, so the fresh-duration bound does not apply to
+                # it.  A job not on a cloud skips the scan (and its
+                # per-job gathers) when even the cheapest slot fails the
+                # bound — identical to the loop breaking at once.
                 k_cur = col - 1
-                best_score = _INF
                 best_k = -1
-                best_up = best_cp = best_dn = 0.0
-                if rework:
+                best_dn = 0.0
+                wmin_i = woc_min_l[i]
+                dn_i = dn_l[i]
+                thr = edge_score
+                if k_cur >= 0 or (cc_sorted[0][0] + wmin_i) + dn_i <= thr:
                     es_o = edge_send[o]
                     er_o = edge_recv[o]
                     up_i = up_l[i]
-                    dn_i = dn_l[i]
                     woc_i = woc_l[i]
-                    # Expected transfer durations (link MTBF, full
-                    # exposure — mid-transfer progress is never
-                    # committed); compute priced per processor below.
-                    up_x = rw_time(up_i, rw_link)
-                    dn_x = rw_time(dn_i, rw_link)
-                    rup_x = rw_time(r_up, rw_link)
-                    rdn_x = rw_time(r_dn, rw_link)
-                    for k in cloud_range:
-                        cr = cloud_recv[k]
-                        cc = cloud_comp[k]
-                        cs = cloud_send[k]
-                        if k == k_cur:
-                            w = rw_compute(
-                                r_wk / cloud_speeds_l[k],
-                                rw_cloud,
-                                cloud_speeds_l[k],
-                            )
-                            ue = (es_o if es_o > cr else cr) + rup_x
-                            ce = (ue if ue > cc else cc) + w
-                            m = cs if cs > er_o else er_o
-                            de = (ce if ce > m else m) + rdn_x
-                            score = de * _STAY
-                        else:
-                            w = rw_compute(woc_i[k], rw_cloud, cloud_speeds_l[k])
-                            ue = (es_o if es_o > cr else cr) + up_x
-                            ce = (ue if ue > cc else cc) + w
-                            m = cs if cs > er_o else er_o
-                            de = (ce if ce > m else m) + dn_x
-                            score = de
-                        if score < best_score:
-                            best_score = score
-                            best_k = k
-                            best_up = ue
-                            best_cp = ce
-                            best_dn = de
-                    cloud_wins = best_score < edge_score
-                else:
-                    # ``thr`` is the score a candidate must strictly beat
-                    # to change the outcome: the edge incumbent, tightened
-                    # by every cloud improvement.  A cloud whose compute
-                    # slot frees at ``cc`` cannot complete this job before
-                    # ``((cc + wmin) + dn_i)`` — the same left-to-right
-                    # IEEE-754 chain as the full evaluation below, and
-                    # rounding is monotone per operation, so the bound
-                    # never exceeds the true score.  Candidates whose
-                    # bound is strictly above ``thr`` can neither win the
-                    # argmin (a strictly smaller score exists or will
-                    # survive) nor flip ``cloud_wins`` (their score is
-                    # above ``edge_score``), so skipping them preserves
-                    # the selected index, all reservations, and every tie
-                    # — placements stay bit-identical to the full scan.
-                    #
-                    # Candidates are walked by ascending ``cc`` (the
-                    # ``cc_sorted`` order), so the first failing bound
-                    # ends the scan: the bound is monotone nondecreasing
-                    # in ``cc`` per IEEE op.  Order independence of the
-                    # winner is restored by the lexicographic
-                    # ``(score, k)`` update rule, which selects the
-                    # lowest-index minimum exactly as the index-order
-                    # scan's strict ``<`` did.  The job's current cloud
-                    # is evaluated up front, unconditionally: its score
-                    # uses the remaining amounts and the stay bonus, so
-                    # the fresh-amount bound does not apply to it.
-                    #
-                    # A job not currently on a cloud first checks only
-                    # the *cheapest-slot* candidate's bound: if even the
-                    # smallest ``cc`` cannot beat the edge incumbent,
-                    # the whole scan (and its per-job gathers) is
-                    # skipped — identical to the loop breaking on its
-                    # first iteration.
-                    wmin_i = woc_min_l[i]
-                    dn_i = dn_l[i]
-                    thr = edge_score
+                    best_score = _INF
+                    best_up = best_cp = 0.0
                     if k_cur >= 0:
-                        es_o = edge_send[o]
-                        er_o = edge_recv[o]
-                        up_i = up_l[i]
-                        woc_i = woc_l[i]
                         cc = cloud_comp[k_cur]
                         cr = cloud_recv[k_cur]
                         cs = cloud_send[k_cur]
                         ue = (es_o if es_o > cr else cr) + r_up
-                        ce = (ue if ue > cc else cc) + r_wk / cloud_speeds_l[k_cur]
+                        ce = (ue if ue > cc else cc) + stay
                         m = cs if cs > er_o else er_o
                         de = (ce if ce > m else m) + r_dn
-                        score = de * _STAY
-                        best_score = score
+                        best_score = de * _STAY
                         best_k = k_cur
                         best_up = ue
                         best_cp = ce
                         best_dn = de
-                        if score < thr:
-                            thr = score
-                        for cc, k in cc_sorted:
-                            if (cc + wmin_i) + dn_i > thr:
-                                break
-                            if k == k_cur:
-                                continue
-                            cr = cloud_recv[k]
-                            cs = cloud_send[k]
-                            ue = (es_o if es_o > cr else cr) + up_i
-                            ce = (ue if ue > cc else cc) + woc_i[k]
-                            m = cs if cs > er_o else er_o
-                            de = (ce if ce > m else m) + dn_i
-                            score = de
-                            if score < best_score or (score == best_score and k < best_k):
-                                best_score = score
-                                best_k = k
-                                best_up = ue
-                                best_cp = ce
-                                best_dn = de
-                                if score < thr:
-                                    thr = score
-                        cloud_wins = best_score < edge_score
-                    elif (cc_sorted[0][0] + wmin_i) + dn_i <= thr:
-                        es_o = edge_send[o]
-                        er_o = edge_recv[o]
-                        up_i = up_l[i]
-                        woc_i = woc_l[i]
-                        for cc, k in cc_sorted:
-                            if (cc + wmin_i) + dn_i > thr:
-                                break
-                            cr = cloud_recv[k]
-                            cs = cloud_send[k]
-                            ue = (es_o if es_o > cr else cr) + up_i
-                            ce = (ue if ue > cc else cc) + woc_i[k]
-                            m = cs if cs > er_o else er_o
-                            de = (ce if ce > m else m) + dn_i
-                            score = de
-                            if score < best_score or (score == best_score and k < best_k):
-                                best_score = score
-                                best_k = k
-                                best_up = ue
-                                best_cp = ce
-                                best_dn = de
-                                if score < thr:
-                                    thr = score
-                        cloud_wins = best_score < edge_score
+                        if best_score < thr:
+                            thr = best_score
+                    for cc, k in cc_sorted:
+                        if (cc + wmin_i) + dn_i > thr:
+                            break
+                        if k == k_cur:
+                            continue
+                        cr = cloud_recv[k]
+                        cs = cloud_send[k]
+                        ue = (es_o if es_o > cr else cr) + up_i
+                        ce = (ue if ue > cc else cc) + woc_i[k]
+                        m = cs if cs > er_o else er_o
+                        de = (ce if ce > m else m) + dn_i
+                        if de < best_score or (de == best_score and k < best_k):
+                            best_score = de
+                            best_k = k
+                            best_up = ue
+                            best_cp = ce
+                            best_dn = de
+                            if de < thr:
+                                thr = de
+                    cloud_wins = best_score < edge_score
 
             if cloud_wins:
                 best_time = best_dn
                 # Reserve the communication/computation windows.
                 edge_send[o] = best_up
                 cloud_recv[best_k] = best_up
-                if not rework:
-                    # The winner's entry moves later (its completion can
-                    # only grow: best_cp >= cloud_comp[best_k]), so the
-                    # vacated index lower-bounds the re-insertion.
-                    idx = bisect_left(cc_sorted, (cloud_comp[best_k], best_k))
-                    del cc_sorted[idx]
-                    insort(cc_sorted, (best_cp, best_k), idx)
+                # The winner's entry moves later (its completion can only
+                # grow: best_cp >= cloud_comp[best_k]), so the vacated
+                # index lower-bounds the re-insertion.
+                idx = bisect_left(cc_sorted, (cloud_comp[best_k], best_k))
+                del cc_sorted[idx]
+                insort(cc_sorted, (best_cp, best_k), idx)
                 cloud_comp[best_k] = best_cp
                 cloud_send[best_k] = best_dn
                 edge_recv[o] = best_time

@@ -49,6 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.errors import ModelError
 from repro.schedulers.base import BaseScheduler, has_release
 from repro.schedulers.placement import (
     DecisionProvenance,
@@ -305,9 +306,14 @@ class SsfEdfScheduler(BaseScheduler):
                     )
             return res.feasible
 
+        if not kernel.finite:
+            raise self._no_target(view, live)
         lo = max(1.0, self._stretch_so_far)
         hi = max(2.0 * lo, 2.0)
-        best = binary_search_min(feasible, lo, hi, eps=self.eps, hint=self._hint)
+        try:
+            best = binary_search_min(feasible, lo, hi, eps=self.eps, hint=self._hint)
+        except RuntimeError as exc:
+            raise self._no_target(view, live) from exc
         self._hint = best
         self._stretch_so_far = max(self._stretch_so_far, best)
 
@@ -343,6 +349,19 @@ class SsfEdfScheduler(BaseScheduler):
                 floors=kernel.floor_report(view.now),
             )
         return placed
+
+    def _no_target(self, view: SimulationView, live: np.ndarray) -> ModelError:
+        """The error of a release decision that has no finite stretch target.
+
+        Finite durations always admit one; an infinite (or astronomically
+        large) priced duration does not — rework pricing at an MTBF far
+        below the jobs' durations.
+        """
+        return ModelError(
+            f"{self.name}: no feasible stretch target at decision time "
+            f"t={view.now!r} ({live.size} live jobs); largest priced duration "
+            f"{self._kernel.largest_duration()!r}"
+        )
 
     # -- non-release path ------------------------------------------------------
 

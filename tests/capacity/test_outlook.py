@@ -173,3 +173,8 @@ class TestExpectationDiscount:
     def test_expected_rework_infinite_mtbf_is_identity(self):
         assert NO_DISCOUNT.expected_rework(7.0, DOMAIN_EDGE) == 7.0
         assert NO_DISCOUNT.expected_rework(7.0, DOMAIN_LINK) == 7.0
+
+    def test_expected_rework_beyond_double_range_is_inf(self):
+        # 100 / 0.05 = 2000 is far past expm1's range (~709.8).
+        d = ExpectationDiscount(cloud_mtbf=0.05)
+        assert d.expected_rework(100.0, DOMAIN_CLOUD) == math.inf

@@ -5,7 +5,10 @@ degenerate bit for bit to their base heuristics; greedy-fa draws its
 discounted estimates from the *same* per-run ``CapacityOutlook`` pool
 as ssf-edf-fa (one shared cache on the engine view, not a private
 reconstruction); and rework pricing keeps the capacity layer out of the
-per-event hot loop (outlook query ceiling unchanged).
+per-event hot loop (outlook query ceiling unchanged).  At an MTBF far
+below the jobs' durations the expected-rework prices overflow, and the
+run fails with a ModelError naming the policy instead of an arithmetic
+error from deep inside the kernel.
 """
 
 import hashlib
@@ -13,11 +16,13 @@ import hashlib
 import pytest
 
 from repro.capacity.outlook import ExpectationDiscount
+from repro.core.errors import ModelError
 from repro.core.validation import validate_schedule
 from repro.faults import FaultClassParams, exponential_fault_trace
 from repro.schedulers.greedy import GreedyScheduler
 from repro.schedulers.registry import available_schedulers, make_scheduler
 from repro.schedulers.ssf_edf import SsfEdfScheduler
+from repro.simulate_cli import main as simulate_main
 from repro.sim.checkpoint import CheckpointPolicy
 from repro.sim.engine import simulate
 from repro.sim.hooks import EngineHooks
@@ -38,8 +43,8 @@ def _instance(seed=11, n_jobs=40, load=0.8):
     )
 
 
-def _renewal_faults(inst, seed, mtbf=25.0):
-    params = FaultClassParams(mtbf=mtbf, mttr=0.1 * mtbf)
+def _renewal_faults(inst, seed, mtbf=25.0, mttr=None):
+    params = FaultClassParams(mtbf=mtbf, mttr=0.1 * mtbf if mttr is None else mttr)
     return exponential_fault_trace(
         n_edge=inst.platform.n_edge,
         n_cloud=inst.platform.n_cloud,
@@ -163,3 +168,31 @@ class TestReworkUnderFaults:
         stats = result.scheduler_stats
         assert stats is not None
         assert stats["scheduler.outlook_queries"] <= 3.0
+
+
+class TestSmallMtbf:
+    """Expected rework beyond the range of a double is a located ModelError."""
+
+    def test_cli_run_fails_with_model_error(self):
+        argv = [
+            "--generate", "random", "--n-jobs", "20",
+            "--policy", "ssf-edf-fa-rework", "--fault-mtbf", "0.05",
+        ]
+        with pytest.raises(ModelError, match="ssf-edf-fa-rework"):
+            simulate_main(argv)
+
+    def test_overflowing_price_fails_with_model_error(self):
+        inst = generate_random_instance(
+            RandomInstanceConfig(n_jobs=20, ccr=1.0, load=1.0), seed=3
+        )
+        faults = _renewal_faults(inst, 3, mtbf=0.05, mttr=0.005)
+        with pytest.raises(ModelError, match="ssf-edf-fa-rework.*decision time"):
+            simulate(inst, make_scheduler("ssf-edf-fa-rework"), faults=faults, record_trace=False)
+
+    def test_mtbf_5_run_completes_and_validates(self):
+        inst = generate_random_instance(
+            RandomInstanceConfig(n_jobs=20, ccr=1.0, load=1.0), seed=3
+        )
+        faults = _renewal_faults(inst, 3, mtbf=5.0)
+        result = simulate(inst, make_scheduler("ssf-edf-fa-rework"), faults=faults)
+        assert validate_schedule(result.schedule) == []

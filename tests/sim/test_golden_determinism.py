@@ -6,6 +6,13 @@ sha256 of the raw completion array bytes plus the exact float bits
 (``float.hex()``) of the stretch metrics and the event/decision/
 re-execution counters — any deviation in event ordering, grant order,
 progress arithmetic or tolerance handling shows up here.
+
+The ``ssf-edf-fa`` and ``ssf-edf-fa-rework`` cases on ``faulted-n80``,
+``faultwin-n60`` and ``ckpt-n80`` (the faulted instance under a periodic
+checkpoint policy) were captured at commit 681a158, before the placement
+kernel's rework pricing moved from per-candidate calls into priced
+duration tables: they pin the absolute failure-aware and rework-priced
+schedules, not just incremental-vs-reference agreement.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import pytest
 from repro.faults.model import FaultClassParams, exponential_fault_trace
 from repro.schedulers.registry import make_scheduler
 from repro.sim.availability import periodic_unavailability
+from repro.sim.checkpoint import CheckpointPolicy
 from repro.sim.engine import simulate
 from repro.workloads.kang import KangConfig, generate_kang_instance
 from repro.workloads.random_uniform import (
@@ -52,7 +60,8 @@ def _renewal_faults(inst, seed, mtbf, mttr):
 def _instances():
     """Rebuild every golden instance exactly as the capture script did.
 
-    Each tag maps to ``(instance, availability, faults, record_trace)``.
+    Each tag maps to
+    ``(instance, availability, faults, record_trace, checkpoint)``.
     """
     tags = {}
     for seed in (20210101, 20210102, 20210103):
@@ -66,12 +75,14 @@ def _instances():
                 None,
                 None,
                 False,
+                None,
             )
     tags["kang-n60"] = (
         generate_kang_instance(KangConfig(n_jobs=60, load=0.1), seed=7),
         None,
         None,
         False,
+        None,
     )
     inst = generate_random_instance(
         RandomInstanceConfig(n_jobs=80, ccr=1.0, load=0.3),
@@ -85,6 +96,7 @@ def _instances():
         ),
         None,
         False,
+        None,
     )
     tags["traced-n50"] = (
         generate_random_instance(
@@ -95,13 +107,21 @@ def _instances():
         None,
         None,
         True,
+        None,
     )
     inst_f = generate_random_instance(
         RandomInstanceConfig(n_jobs=80, ccr=1.0, load=1.0),
         platform=paper_random_platform(),
         seed=31,
     )
-    tags["faulted-n80"] = (inst_f, None, _renewal_faults(inst_f, 17, 40.0, 4.0), False)
+    tags["faulted-n80"] = (inst_f, None, _renewal_faults(inst_f, 17, 40.0, 4.0), False, None)
+    tags["ckpt-n80"] = (
+        inst_f,
+        None,
+        _renewal_faults(inst_f, 17, 40.0, 4.0),
+        False,
+        CheckpointPolicy(interval=1.0, commit_cost=0.05),
+    )
     inst_fw = generate_random_instance(
         RandomInstanceConfig(n_jobs=60, ccr=1.0, load=0.8),
         platform=paper_random_platform(),
@@ -114,6 +134,7 @@ def _instances():
         ),
         _renewal_faults(inst_fw, 23, 60.0, 5.0),
         False,
+        None,
     )
     return tags
 
@@ -127,13 +148,18 @@ _INSTANCES = _instances()
 )
 def test_bit_identical_to_seed_engine(case):
     """Completion bytes, stretch bits and counters match the seed engine."""
-    inst, availability, faults, trace = _INSTANCES[case["tag"]]
+    inst, availability, faults, trace, checkpoint = _INSTANCES[case["tag"]]
     policy = case["policy"]
     scheduler = (
         make_scheduler(policy, seed=123) if policy == "random" else make_scheduler(policy)
     )
     result = simulate(
-        inst, scheduler, availability=availability, faults=faults, record_trace=trace
+        inst,
+        scheduler,
+        availability=availability,
+        faults=faults,
+        record_trace=trace,
+        checkpoint=checkpoint,
     )
     assert hashlib.sha256(result.completion.tobytes()).hexdigest() == case["completion_sha256"]
     assert result.max_stretch.hex() == case["max_stretch"]
