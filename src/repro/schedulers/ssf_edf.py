@@ -273,8 +273,14 @@ class SsfEdfScheduler(BaseScheduler):
         # the jobs identically share one constructive pass (the pass
         # reads deadlines only through the order; see place()).
         pass_cache: dict | None = {} if self.incremental else None
+        # Bounds the largest deadline a probe builds: a finite stretch
+        # whose deadlines overflow to ``inf`` would "meet" them all.
+        top_release = float(release.max())
+        top_min_time = float(min_time.max())
 
         def feasible(stretch: float) -> bool:
+            if top_release + stretch * top_min_time == float("inf"):
+                raise RuntimeError(f"stretch target {stretch!r} overflows the deadlines")
             stats.probes += 1
             deadlines = release + stretch * min_time
             # Probes never need explain rows (the probe record reads

@@ -13,9 +13,9 @@ The run loop is composed from three layers plus an observer protocol:
   state of every exclusive compute slot and communication port, with an
   incremental API so activation only re-evaluates the decision suffix
   that the last event batch could have affected;
-* the **activity kernel** (:mod:`repro.sim.kernel`) — vectorized
-  remaining-amount arithmetic (one masked ``rem -= rate * dt`` per
-  phase) and next-event distances over array slices;
+* the **activity kernel** (:mod:`repro.sim.kernel`) — remaining-amount
+  arithmetic (one ``rem -= rate * dt`` per active entry) and
+  next-event distances over the active set;
 * **hooks** (:mod:`repro.sim.hooks`) — all instrumentation (interval
   traces, counters, profilers, watermarks) observes the run through
   the :class:`~repro.sim.hooks.EngineHooks` callbacks; the engine core
@@ -76,6 +76,11 @@ from repro.sim.trace import TraceRecorder
 from repro.sim.view import SimulationView
 
 _ABS_TOL = 1e-9
+
+#: Decisions of at most this many entries are applied by the scalar
+#: sweep of :meth:`Engine._apply_slow`; larger ones by the vectorized
+#: :meth:`Engine._apply`, whose fixed NumPy cost pays off only there.
+_SCALAR_APPLY_MAX = 32
 
 #: Activity code → scheduler-facing phase (for hook callbacks).
 _ACT_PHASE = {0: Phase.UPLINK, 1: Phase.COMPUTE, 2: Phase.DOWNLINK}
@@ -269,11 +274,10 @@ class Engine:
         # Set at run start from the view (shared, transparent outlook).
         self._outlook = None
 
-        # Per-position grant bookkeeping of the last activation round
-        # (aligned with the decision's columnar arrays); backs the
-        # ledger's incremental release path.
-        self._prev: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._prev_l: tuple[list, list, list, list] | None = None
+        # The last activation round's request columns (jobs, kinds,
+        # indices, activities) and per-position grant bookkeeping
+        # aligned with them; back the ledger's incremental release path.
+        self._last_requests: tuple[list, list, list, list] | None = None
         #: Blocked-set constancy key of the last activation round (None
         #: when the run has no windows and no faults).  Incremental
         #: resumption is sound exactly while this key is unchanged.
@@ -344,26 +348,19 @@ class Engine:
                 cb(now, decision)
 
             jobs, kinds, indices = decision.as_arrays()
-            self._apply(state, hooks, jobs, kinds, indices, decision)
-            # Small decisions run an all-scalar step (lists end to end);
-            # both modes perform identical IEEE-754 arithmetic.
-            small = jobs.size <= 32
             jobs_l, kinds_l, indices_l = jobs.tolist(), kinds.tolist(), indices.tolist()
-            if small:
-                acts_l = kernel.request_kinds(jobs_l, kinds_l)
-                acts = np.array(acts_l, dtype=np.int8)
-            else:
-                acts = kernel.request_kinds(jobs, kinds)
-                acts_l = acts.tolist()
+            self._apply(state, hooks, jobs, kinds, indices, jobs_l, kinds_l, indices_l)
+            acts_l = kernel.request_kinds(jobs_l, kinds_l)
             jobs_active, acts_active, rates_active = self._activate(
-                jobs, kinds, indices, acts, jobs_l, kinds_l, indices_l, acts_l, now, small
+                jobs_l, kinds_l, indices_l, acts_l, now
             )
 
-            # Earliest next event.
+            # Earliest next event.  The kernel's durations are NumPy
+            # scalars; ``float`` keeps the clock a Python float, so no
+            # later time arithmetic runs on NumPy scalars.
             dt = float("inf")
-            if len(jobs_active):
-                ttc = kernel.time_to_completion(jobs_active, acts_active, rates_active)
-                dt = float(min(ttc)) if small else float(ttc.min())
+            if jobs_active:
+                dt = float(min(kernel.time_to_completion(jobs_active, acts_active, rates_active)))
             if next_rel < n:
                 dt = min(dt, float(release_times[release_order[next_rel]]) - state.now)
             if self._has_windows:
@@ -373,9 +370,9 @@ class Engine:
                 fault_b = self.faults.next_boundary(state.now)
                 dt = min(dt, fault_b - state.now)
             ckpt_b = float("inf")
-            if self._has_ckpt and len(jobs_active):
+            if self._has_ckpt and jobs_active:
                 ckpt_b = self._next_commit_boundary(
-                    state, kernel, jobs_active, acts_active, rates_active, small
+                    state, kernel, jobs_active, acts_active, rates_active
                 )
                 dt = min(dt, ckpt_b - state.now)
 
@@ -396,10 +393,6 @@ class Engine:
             completed = kernel.advance(jobs_active, acts_active, rates_active, dt)
 
             if hooks.has_step:
-                if not small:
-                    jobs_active = jobs_active.tolist()
-                    acts_active = acts_active.tolist()
-                    rates_active = rates_active.tolist()
                 active = [
                     (j, _ACT_PHASE[a], r)
                     for j, a, r in zip(jobs_active, acts_active, rates_active)
@@ -408,13 +401,9 @@ class Engine:
                     cb(now, t_next, active)
 
             events = []
-            if small or hooks.has_step:
-                positions = [p for p, f in enumerate(completed) if f]
-            else:
-                positions = np.nonzero(completed)[0].tolist()
-            for pos in positions:
-                i = int(jobs_active[pos])
-                act = acts_active[pos]
+            for i, act, finished in zip(jobs_active, acts_active, completed):
+                if not finished:
+                    continue
                 if act == ACT_UPLINK:
                     events.append(uplink_done(t_next, i))
                     if (
@@ -489,26 +478,24 @@ class Engine:
         jobs: np.ndarray,
         kinds: np.ndarray,
         indices: np.ndarray,
-        decision: Decision,
+        jobs_l: list,
+        kinds_l: list,
+        indices_l: list,
     ) -> None:
-        """Validate and apply the decision's (re-)assignments (vectorized).
+        """Validate and apply the decision's (re-)assignments.
 
-        The happy path validates all entries with a handful of array
-        reductions and applies them via
-        :meth:`~repro.sim.state.SimState.assign_many`; any invalid entry
-        falls back to the scalar sweep, which raises the precise
-        historical :class:`DecisionError` for the *first* offending
-        entry (after applying the valid prefix, as the scalar engine
-        always did).
+        The decision arrives twice, as arrays and as the same columns in
+        lists.  Decisions of more than :data:`_SCALAR_APPLY_MAX` entries
+        validate with a handful of array reductions and apply via
+        :meth:`~repro.sim.state.SimState.assign_many`; smaller ones, and
+        any decision with an invalid entry, take the scalar sweep, which
+        raises the precise :class:`DecisionError` for the *first*
+        offending entry (after applying the valid prefix).
         """
-        if not jobs.size:
+        if len(jobs_l) <= _SCALAR_APPLY_MAX:
+            self._apply_slow(state, hooks, jobs_l, kinds_l, indices_l)
             return
         instance = self.instance
-        if jobs.size <= 32:
-            # Scalar sweep beats numpy dispatch overhead on small decisions
-            # (and reports errors identically on either path).
-            self._apply_slow(state, hooks, decision)
-            return
         if ((jobs >= 0) & (jobs < instance.n_jobs)).all():
             edge_mask = kinds == ALLOC_EDGE
             if (
@@ -527,9 +514,11 @@ class Engine:
                         for cb in hooks.assign:
                             cb(job, res, now)
                 return
-        self._apply_slow(state, hooks, decision)
+        self._apply_slow(state, hooks, jobs_l, kinds_l, indices_l)
 
-    def _apply_slow(self, state: SimState, hooks: HookSet, decision: Decision) -> None:
+    def _apply_slow(
+        self, state: SimState, hooks: HookSet, jobs: list, kinds: list, indices: list
+    ) -> None:
         """Scalar validation/application sweep (exact error reporting)."""
         instance = self.instance
         n_jobs = instance.n_jobs
@@ -542,8 +531,7 @@ class Engine:
         now = state.now
         deadline = now + _ABS_TOL
         has_assign = hooks.has_assign
-        jobs, kinds, indices = decision.as_arrays()
-        for i, kind, idx in zip(jobs.tolist(), kinds.tolist(), indices.tolist()):
+        for i, kind, idx in zip(jobs, kinds, indices):
             if not 0 <= i < n_jobs:
                 raise DecisionError(f"no such job: {i}")
             if done[i]:
@@ -587,9 +575,9 @@ class Engine:
         boundary: float,
         t_next: float,
         events: list[Event],
-        jobs_active,
-        acts_active,
-        completed,
+        jobs_active: list,
+        acts_active: list,
+        completed: list,
     ) -> int:
         """Process the fault transitions at ``boundary`` (== ``t_next``).
 
@@ -608,13 +596,10 @@ class Engine:
         # One boundary instant == one epoch bump: every epoch-scoped
         # cache (cross-event replay in particular) invalidates here.
         state.fault_epoch += 1
-        jobs_l = jobs_active if isinstance(jobs_active, list) else jobs_active.tolist()
-        acts_l = acts_active if isinstance(acts_active, list) else acts_active.tolist()
-        comp_l = completed if isinstance(completed, list) else completed.tolist()
         inflight = [
-            (int(j), a)
-            for j, a, c in zip(jobs_l, acts_l, comp_l)
-            if not c and not state.done[int(j)]
+            (j, a)
+            for j, a, c in zip(jobs_active, acts_active, completed)
+            if not c and not state.done[j]
         ]
         to_abort: dict[int, object] = {}  # job -> resource whose fault killed it
 
@@ -637,7 +622,7 @@ class Engine:
                     & ~state.done
                 )[0]
                 for i in ids.tolist():
-                    to_abort.setdefault(int(i), res)
+                    to_abort.setdefault(i, res)
                 # The unit's ports die with it: in-flight transfers of
                 # jobs originating here are lost too.
                 _abort_transfers(tr.index, res)
@@ -655,7 +640,7 @@ class Engine:
                     & ~state.done
                 )[0]
                 for i in ids.tolist():
-                    to_abort.setdefault(int(i), res)
+                    to_abort.setdefault(i, res)
             else:  # DOMAIN_LINK
                 res = edge(tr.index)
                 if not tr.goes_down:
@@ -689,7 +674,7 @@ class Engine:
 
     def _next_commit_boundary(
         self, state: SimState, kernel: ActivityKernel,
-        jobs_active, acts_active, rates_active, small: bool,
+        jobs_active: list, acts_active: list, rates_active: list,
     ) -> float:
         """Earliest periodic commit boundary among the active computes.
 
@@ -703,15 +688,12 @@ class Engine:
         interval = self.checkpoint.interval
         if interval is None:
             return float("inf")
-        jl = jobs_active if small else jobs_active.tolist()
-        al = acts_active if small else acts_active.tolist()
-        rl = rates_active if small else rates_active.tolist()
         rem_work = state.rem_work
         ckpt_work = state.ckpt_work
         work_tol = kernel.work_tol
         now = state.now
         best = float("inf")
-        for j, a, r in zip(jl, al, rl):
+        for j, a, r in zip(jobs_active, acts_active, rates_active):
             if a != ACT_COMPUTE:
                 continue
             target = float(ckpt_work[j]) - interval
@@ -724,7 +706,7 @@ class Engine:
 
     def _process_commits(
         self, state: SimState, kernel: ActivityKernel, t_next: float,
-        events: list[Event], jobs_active, acts_active,
+        events: list[Event], jobs_active: list, acts_active: list,
     ) -> None:
         """Advance every active compute sitting on its commit boundary.
 
@@ -739,12 +721,9 @@ class Engine:
         if interval is None:
             return
         cost = self.checkpoint.commit_cost
-        jl = jobs_active if isinstance(jobs_active, list) else jobs_active.tolist()
-        al = acts_active if isinstance(acts_active, list) else acts_active.tolist()
-        for j, a in zip(jl, al):
+        for j, a in zip(jobs_active, acts_active):
             if a != ACT_COMPUTE:
                 continue
-            j = int(j)
             if state.done[j]:
                 continue
             tol = float(kernel.work_tol[j])
@@ -766,23 +745,12 @@ class Engine:
     # -- activation ------------------------------------------------------------
 
     def _activate(
-        self,
-        jobs: np.ndarray,
-        kinds: np.ndarray,
-        indices: np.ndarray,
-        acts: np.ndarray,
-        jobs_l: list,
-        kinds_l: list,
-        indices_l: list,
-        acts_l: list,
-        now: float,
-        small: bool,
-    ):
+        self, jobs: list, kinds: list, indices: list, acts: list, now: float
+    ) -> tuple[list, list, list]:
         """Grant resources in priority order; return the active set.
 
-        Returns parallel ``(jobs, activities, rates)`` columns of the
-        granted activities, in decision priority order — plain lists in
-        small-step mode, arrays otherwise.
+        Returns parallel ``(jobs, activities, rates)`` lists of the
+        granted activities, in decision priority order.
 
         Grants are resumed incrementally: positions before the first
         request that changed since the previous round keep their grant
@@ -800,41 +768,25 @@ class Engine:
         """
         ledger = self.ledger
         start = 0
-        prev_l = self._prev_l
+        prev = self._last_requests
         blocked = self._has_windows or self._has_faults
         block_key = self._outlook.blocked_key(now) if blocked else None
-        if prev_l is not None and block_key == self._prev_block_key:
+        if prev is not None and block_key == self._prev_block_key:
             if blocked:
                 # The round's down-state was served by key equality
                 # instead of a fresh scan — a delta update.
                 self._outlook.n_delta_updates += 1
-            if small:
-                pjobs_l, pkinds_l, pindices_l, pacts_l = prev_l
-                mm = min(len(jobs_l), len(pjobs_l))
-                start = mm
-                for pos in range(mm):
-                    if (
-                        jobs_l[pos] != pjobs_l[pos]
-                        or kinds_l[pos] != pkinds_l[pos]
-                        or indices_l[pos] != pindices_l[pos]
-                        or acts_l[pos] != pacts_l[pos]
-                    ):
-                        start = pos
-                        break
-            else:
-                pjobs, pkinds, pindices, pacts = self._prev
-                m = min(jobs.size, pjobs.size)
-                if m:
-                    diff = (
-                        (jobs[:m] != pjobs[:m])
-                        | (kinds[:m] != pkinds[:m])
-                        | (indices[:m] != pindices[:m])
-                        | (acts[:m] != pacts[:m])
-                    )
-                    nz = np.nonzero(diff)[0]
-                    start = int(nz[0]) if nz.size else m
-                else:
-                    start = 0
+            pjobs, pkinds, pindices, pacts = prev
+            start = min(len(jobs), len(pjobs))
+            for pos in range(start):
+                if (
+                    jobs[pos] != pjobs[pos]
+                    or kinds[pos] != pkinds[pos]
+                    or indices[pos] != pindices[pos]
+                    or acts[pos] != pacts[pos]
+                ):
+                    start = pos
+                    break
             granted = self._pos_granted
             for pos in range(start, len(granted)):
                 if granted[pos]:
@@ -854,29 +806,20 @@ class Engine:
             self._pos_k.clear()
             self._pos_rate.clear()
 
-        self._scan(start, jobs_l, kinds_l, indices_l, acts_l, now)
-        self._prev = (jobs, kinds, indices, acts)
-        self._prev_l = (jobs_l, kinds_l, indices_l, acts_l)
+        self._scan(start, jobs, kinds, indices, acts, now)
+        self._last_requests = (jobs, kinds, indices, acts)
         self._prev_block_key = block_key
 
-        granted = self._pos_granted
-        if small:
-            ja: list = []
-            aa: list = []
-            ra: list = []
-            rates_l = self._pos_rate
-            for pos, ok in enumerate(granted):
-                if ok:
-                    ja.append(jobs_l[pos])
-                    aa.append(acts_l[pos])
-                    ra.append(rates_l[pos])
-            return ja, aa, ra
-        g = np.array(granted, dtype=bool)
-        if not g.any():
-            empty_f = np.empty(0, dtype=np.float64)
-            return jobs[:0], acts[:0], empty_f
-        rates = np.array(self._pos_rate, dtype=np.float64)
-        return jobs[g], acts[g], rates[g]
+        ja: list = []
+        aa: list = []
+        ra: list = []
+        rates = self._pos_rate
+        for pos, ok in enumerate(self._pos_granted):
+            if ok:
+                ja.append(jobs[pos])
+                aa.append(acts[pos])
+                ra.append(rates[pos])
+        return ja, aa, ra
 
     def _scan(
         self,

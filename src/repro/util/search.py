@@ -10,6 +10,7 @@ paper's SSF-EDF complexity analysis.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 
@@ -38,6 +39,11 @@ def binary_search_min(
     The search stops when the bracket's relative width drops below
     ``eps`` and returns the *feasible* end of the bracket, so the result
     is always a feasible target.
+
+    The bracket must stay finite: a non-finite ``hi``, an infinite
+    ``hint``, or growth that overflows to ``inf`` raises
+    :class:`RuntimeError` instead of probing ``inf`` — a target of
+    ``inf`` makes every deadline ``inf`` and so every probe "feasible".
     """
     if lo < 0:
         raise ValueError(f"binary_search_min requires lo >= 0, got {lo}")
@@ -48,6 +54,8 @@ def binary_search_min(
 
     if hint is not None and hint > lo:
         hi = hint
+    if not math.isfinite(hi):
+        raise RuntimeError(f"binary_search_min: non-finite bracket end {hi!r}")
 
     if feasible(lo):
         return lo
@@ -62,6 +70,11 @@ def binary_search_min(
             )
         lo = hi
         hi = max(hi * grow_factor, 1.0)
+        if math.isinf(hi):
+            raise RuntimeError(
+                f"binary_search_min: no feasible point found up to {lo!r}; "
+                "growing the bracket overflows"
+            )
 
     # Invariant: feasible(hi) and not feasible(lo).
     while (hi - lo) > eps * max(1.0, hi):
